@@ -19,9 +19,9 @@
 //! edges, the loop materializes it once and finishes on shrinking
 //! materialized graphs: a fixed-size view keeps paying `O(n + m)` per
 //! round while the materialized residual shrinks geometrically, and the
-//! crossover is measurable (see the zero-copy notes in
-//! `crates/bench/benches/apps.rs`). The block structure is **identical**
-//! on both sides of the switch — the engine sees the same residual edge
+//! crossover is measurable (see "Zero-copy recursion trade-offs" in
+//! `docs/ARCHITECTURE.md`). The block structure is **identical** on both
+//! sides of the switch — the engine sees the same residual edge
 //! set under the same vertex ids either way, which
 //! `matches_materialized_residual_rounds` pins.
 

@@ -173,7 +173,11 @@ mod tests {
                 .collect();
             WeightedCsrGraph::from_edges(g.num_vertices(), &edges)
         };
-        let d = mpx_decomp::partition_weighted(&wg, &DecompOptions::new(0.25).with_seed(2));
+        let d = mpx_decomp::DecomposerBuilder::new(0.25)
+            .seed(2)
+            .build_weighted(&wg)
+            .unwrap()
+            .run();
         let c = coarsen_weighted(&wg, &d);
         assert_eq!(c.quotient.num_vertices(), d.num_clusters());
         assert_eq!(c.rep.len(), c.quotient.num_edges());

@@ -6,7 +6,7 @@
 //! Usage: `figure1 [side] [outdir]` (defaults: 1000, `figures/`).
 
 use mpx_bench::{arg_or, f, time, Table};
-use mpx_decomp::{partition, DecompOptions, DecompositionStats};
+use mpx_decomp::{partition, DecompOptions, DecompositionStats, Traversal};
 use mpx_graph::gen;
 use mpx_viz::render_grid_partition;
 
@@ -40,7 +40,9 @@ fn main() {
         "seconds",
     ]);
     for (i, &beta) in betas.iter().enumerate() {
-        let opts = DecompOptions::new(beta).with_seed(2013 + i as u64);
+        let opts = DecompOptions::new(beta)
+            .with_seed(2013 + i as u64)
+            .with_traversal(Traversal::TopDownPar);
         let (d, secs) = time(|| partition(&g, &opts));
         let stats = DecompositionStats::compute(&g, &d);
         let img = render_grid_partition(side, side, &d);

@@ -6,9 +6,16 @@
 //! Usage: `table_depth_work [trials]` (default 3).
 
 use mpx_bench::{arg_or, f, Table};
-use mpx_decomp::parallel::partition_instrumented;
-use mpx_decomp::DecompOptions;
+use mpx_decomp::{DecompOptions, Decomposition, PartitionTelemetry, Traversal, Workspace};
 use mpx_graph::gen;
+
+/// One run of the paper's Algorithm 1 (top-down) with its telemetry.
+fn partition_instrumented(
+    g: &mpx_graph::CsrGraph,
+    opts: &DecompOptions,
+) -> (Decomposition, PartitionTelemetry) {
+    Workspace::new().partition_view(g, &opts.clone().with_traversal(Traversal::TopDownPar))
+}
 
 fn main() {
     let trials: u64 = arg_or(1, 3);

@@ -10,7 +10,7 @@
 //! Usage: `table_scaling [rmat_scale] [reps]` (defaults 19, 3).
 
 use mpx_bench::{arg_or, f, time, Table};
-use mpx_decomp::{partition, partition_hybrid, partition_sequential, DecompOptions};
+use mpx_decomp::{partition, DecompOptions, Traversal};
 use mpx_graph::gen;
 use mpx_par::with_threads;
 
@@ -32,18 +32,22 @@ fn scaling_table(name: &str, g: &mpx_graph::CsrGraph, beta: f64, reps: usize) {
         g.num_vertices(),
         g.num_edges()
     );
-    let opts = DecompOptions::new(beta).with_seed(11);
+    let opts = |traversal| {
+        DecompOptions::new(beta)
+            .with_seed(11)
+            .with_traversal(traversal)
+    };
     let mut table = Table::new(&["config", "seconds", "speedup vs seq"]);
     let mut best_seq = f64::INFINITY;
     for _ in 0..reps {
-        let (_, secs) = time(|| partition_sequential(g, &opts));
+        let (_, secs) = time(|| partition(g, &opts(Traversal::TopDownSeq)));
         best_seq = best_seq.min(secs);
     }
     table.row(&["sequential".into(), f(best_seq, 3), f(1.0, 2)]);
     for &t in &thread_levels() {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
-            let (_, secs) = time(|| with_threads(t, || partition(g, &opts)));
+            let (_, secs) = time(|| with_threads(t, || partition(g, &opts(Traversal::TopDownPar))));
             best = best.min(secs);
         }
         table.row(&[format!("parallel x{t}"), f(best, 3), f(best_seq / best, 2)]);
@@ -51,7 +55,7 @@ fn scaling_table(name: &str, g: &mpx_graph::CsrGraph, beta: f64, reps: usize) {
     for &t in &thread_levels() {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
-            let (_, secs) = time(|| with_threads(t, || partition_hybrid(g, &opts)));
+            let (_, secs) = time(|| with_threads(t, || partition(g, &opts(Traversal::Auto))));
             best = best.min(secs);
         }
         table.row(&[format!("hybrid x{t}"), f(best, 3), f(best_seq / best, 2)]);

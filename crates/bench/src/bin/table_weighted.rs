@@ -6,8 +6,7 @@
 //! Usage: `table_weighted [side] [trials]` (defaults 60, 3).
 
 use mpx_bench::{arg_or, f, time, Table};
-use mpx_decomp::weighted::{partition_weighted, partition_weighted_parallel};
-use mpx_decomp::DecompOptions;
+use mpx_decomp::{DecomposerBuilder, Traversal};
 use mpx_graph::{gen, Vertex, WeightedCsrGraph};
 use mpx_par::rng::hash_index;
 
@@ -45,11 +44,19 @@ fn main() {
         let mut t_dij = 0.0;
         let mut t_ds = 0.0;
         let mut agree = true;
+        let session = |traversal| {
+            DecomposerBuilder::new(beta)
+                .traversal(traversal)
+                .build_weighted(&g)
+                .expect("valid weighted graph")
+        };
+        let mut dijkstra = session(Traversal::TopDownSeq);
+        let mut dstep = session(Traversal::TopDownPar);
         for seed in 0..trials {
-            let opts = DecompOptions::new(beta).with_seed(seed * 3 + 1);
-            let (d, secs) = time(|| partition_weighted(&g, &opts));
+            let seed = seed * 3 + 1;
+            let (d, secs) = time(|| dijkstra.run_with_seed(seed));
             t_dij += secs;
-            let (dp, secs2) = time(|| partition_weighted_parallel(&g, &opts, None));
+            let (dp, secs2) = time(|| dstep.run_with_seed(seed));
             t_ds += secs2;
             agree &= d.assignment == dp.assignment;
             clusters += d.num_clusters() as f64;

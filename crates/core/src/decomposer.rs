@@ -22,9 +22,9 @@
 //! [`mpx_graph::CsrGraph`], a zero-copy [`mpx_graph::MappedCsr`] snapshot
 //! (serve decompositions straight off a file's pages), or an
 //! [`mpx_graph::InducedView`] / [`mpx_graph::EdgeFilteredView`] of either.
-//! Outputs are **bit-identical** to the classic free functions
-//! ([`crate::partition`] & co.), which survive as a thin convenience layer
-//! over this type.
+//! Outputs are **bit-identical** across strategies, thread counts and
+//! sources; [`partition`] is the one-call shorthand (a fresh workspace per
+//! call) for callers that decompose a view once.
 //!
 //! # Amortization
 //!
@@ -46,15 +46,52 @@
 
 use crate::decomposition::Decomposition;
 use crate::engine::{self, EngineScratch, PartitionTelemetry};
-use crate::exact::partition_exact;
 use crate::options::{
     ConfigError, DecompOptions, Determinism, RetryPolicy, ShiftStrategy, TieBreak, Traversal,
 };
-use crate::retry::RetryOutcome;
 use crate::shift::ExpShifts;
 use crate::weighted::WeightedDecomposition;
 use crate::wengine::{self, WeightedScratch, WeightedTelemetry};
-use mpx_graph::{CsrGraph, GraphView, WeightedGraphView};
+use mpx_graph::{GraphView, WeightedGraphView};
+
+/// Computes a `(β, O(log n / β))` decomposition of `view` under `opts`
+/// (paper Algorithm 1, Theorem 1.2) with one fresh [`Workspace`], at
+/// `opts.traversal`.
+///
+/// The one-call shorthand for a single decomposition. Callers serving
+/// repeated requests should hold a [`Decomposer`] instead and amortize the
+/// scratch; every strategy returns identical labels either way.
+///
+/// ```
+/// use mpx_decomp::{partition, DecompOptions, DecomposerBuilder};
+/// let g = mpx_graph::gen::gnm(500, 4000, 1);
+/// let d = partition(&g, &DecompOptions::new(0.3).with_seed(9));
+/// let mut session = DecomposerBuilder::new(0.3).seed(9).build(&g).unwrap();
+/// assert_eq!(d, session.run());
+/// ```
+///
+/// # Panics
+///
+/// Panics if `opts` fails [`DecompOptions::validate`].
+pub fn partition<V: GraphView>(view: &V, opts: &DecompOptions) -> Decomposition {
+    Workspace::new().partition_view(view, opts).0
+}
+
+/// Outcome of [`Decomposer::run_with_retry`].
+#[must_use = "check accepted/attempts — an ignored outcome defeats the retry loop"]
+#[derive(Clone, Debug)]
+pub struct RetryOutcome {
+    /// The accepted (or best-seen) decomposition.
+    pub decomposition: Decomposition,
+    /// Attempts consumed (1 = first try accepted).
+    pub attempts: u32,
+    /// Whether the returned decomposition met both thresholds.
+    pub accepted: bool,
+    /// Cut-edge threshold used (`cut_slack · β · m`).
+    pub cut_threshold: f64,
+    /// Radius threshold used (`radius_slack · ln n / β`).
+    pub radius_threshold: f64,
+}
 
 /// Reusable scratch arenas for repeated decomposition runs.
 ///
@@ -94,10 +131,9 @@ impl Workspace {
             + self.wscratch.capacity_bytes()
     }
 
-    /// Partitions `view` under `opts`, reusing this workspace's arenas.
-    ///
-    /// This is the reusable form of [`engine::partition_view`]: identical
-    /// output, no per-call arena allocation once the workspace is warm.
+    /// Partitions `view` under `opts`, reusing this workspace's arenas:
+    /// output identical to [`partition`], no per-call arena allocation once
+    /// the workspace is warm.
     ///
     /// # Panics
     ///
@@ -190,10 +226,10 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics if `opts` fails [`DecompOptions::validate`]. Weights are
-    /// **not** re-validated here (that is the entry layers' job —
-    /// [`DecomposerBuilder::build_weighted`] and the free functions check
-    /// once via [`crate::wengine::validate_weights`]); non-finite weights
-    /// would propagate NaN distances.
+    /// **not** re-validated here (that is the entry layer's job —
+    /// [`DecomposerBuilder::build_weighted`] checks once via
+    /// [`crate::wengine::validate_weights`]); non-finite weights would
+    /// propagate NaN distances.
     pub fn partition_weighted_view<W: WeightedGraphView>(
         &mut self,
         view: &W,
@@ -215,7 +251,7 @@ impl Workspace {
 }
 
 /// Configuration builder for a [`Decomposer`] session (and the validated
-/// entry into every other decomposition flavor: retry, weighted, exact).
+/// entry into the retry and weighted flavors).
 ///
 /// All knobs of [`DecompOptions`] plus a [`RetryPolicy`]; nothing is
 /// validated until [`build`](DecomposerBuilder::build) (or
@@ -346,40 +382,6 @@ impl DecomposerBuilder {
         })
     }
 
-    /// Validated run of the `O(nm)` Algorithm 2 reference oracle
-    /// ([`crate::partition_exact`]); testing/small graphs only.
-    pub fn run_exact(&self, g: &CsrGraph) -> Result<Decomposition, ConfigError> {
-        let opts = self.options()?;
-        Ok(partition_exact(g, &opts))
-    }
-
-    /// Validated one-shot run of the Section 6 weighted partition on the
-    /// sequential multi-source-Dijkstra path, over any
-    /// [`WeightedGraphView`]. Rejects invalid weights with
-    /// [`ConfigError::InvalidWeight`]. For repeated runs, build a session
-    /// with [`build_weighted`](DecomposerBuilder::build_weighted).
-    pub fn run_weighted<W: WeightedGraphView>(
-        &self,
-        g: &W,
-    ) -> Result<WeightedDecomposition, ConfigError> {
-        let opts = self.options()?.with_traversal(Traversal::TopDownSeq);
-        wengine::validate_weights(g)?;
-        Ok(wengine::partition_weighted_view(g, &opts, None).0)
-    }
-
-    /// Validated one-shot run of the Δ-stepping weighted partition
-    /// (bit-identical to [`run_weighted`](DecomposerBuilder::run_weighted));
-    /// `delta` is the bucket width (`None` = mean edge weight).
-    pub fn run_weighted_parallel<W: WeightedGraphView>(
-        &self,
-        g: &W,
-        delta: Option<f64>,
-    ) -> Result<WeightedDecomposition, ConfigError> {
-        let opts = self.options()?.with_traversal(Traversal::TopDownPar);
-        wengine::validate_weights(g)?;
-        Ok(wengine::partition_weighted_view(g, &opts, delta).0)
-    }
-
     /// Validates the configuration **and the view's weights** and binds
     /// them into a reusable [`WeightedDecomposer`] session — the weighted
     /// twin of [`build`](DecomposerBuilder::build).
@@ -416,9 +418,9 @@ impl DecomposerBuilder {
 /// [`run_many`](Decomposer::run_many) over the same view allocate
 /// (almost) nothing after the first run.
 ///
-/// Built by [`DecomposerBuilder::build`]. Outputs are bit-identical to the
-/// classic free functions for the pinned traversal, across strategies,
-/// thread counts, and `CsrGraph`-vs-`MappedCsr` sources.
+/// Built by [`DecomposerBuilder::build`]. Outputs are bit-identical to
+/// [`partition`] across strategies, thread counts, and
+/// `CsrGraph`-vs-`MappedCsr` sources.
 ///
 /// ```
 /// use mpx_decomp::DecomposerBuilder;
@@ -557,8 +559,11 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
 
     /// The Theorem 1.2 driver over this session: retries with seeds
     /// `seed, seed+1, …` until the configured [`RetryPolicy`] accepts,
-    /// reusing the workspace across attempts. Matches
-    /// [`crate::partition_with_retry`] exactly on a full-graph view.
+    /// reusing the workspace across attempts. Each attempt succeeds with
+    /// constant probability (Lemma 4.2 bounds the radius w.h.p.;
+    /// Corollary 4.5 plus Markov bounds the cut), so the expected number of
+    /// attempts is `O(1)` — how the paper's proof of Theorem 1.2 turns the
+    /// per-run expectations into the stated guarantees.
     pub fn run_with_retry(&mut self) -> RetryOutcome {
         let n = self.view.num_vertices().max(2);
         let m = (self.view.total_degree() / 2) as usize;
@@ -760,8 +765,6 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighted::{partition_weighted, partition_weighted_parallel};
-    use crate::{partition, partition_hybrid, partition_sequential};
     use mpx_graph::gen;
     use mpx_graph::WeightedCsrGraph;
 
@@ -781,31 +784,44 @@ mod tests {
             Some(ConfigError::InvalidAlpha)
         );
         assert!(DecomposerBuilder::new(0.2).alpha(3).build(&g).is_ok());
+        let wg = WeightedCsrGraph::unit_weights(&g);
+        assert!(DecomposerBuilder::new(-1.0).build_weighted(&wg).is_err());
     }
 
+    /// `partition` runs at `opts.traversal` (the `engine.partition` span
+    /// records the strategy it ran) and returns the session's labels.
     #[test]
-    fn run_matches_legacy_wrappers() {
-        let g = gen::gnm(400, 1600, 5);
-        for (traversal, legacy) in [
-            (
-                Traversal::TopDownPar,
-                partition(&g, &DecompOptions::new(0.2).with_seed(9)) as Decomposition,
-            ),
-            (
-                Traversal::TopDownSeq,
-                partition_sequential(&g, &DecompOptions::new(0.2).with_seed(9)),
-            ),
-            (
-                Traversal::Auto,
-                partition_hybrid(&g, &DecompOptions::new(0.2).with_seed(9)),
-            ),
+    fn partition_follows_opts_traversal_and_equals_the_session() {
+        // An odd size no other test in this binary partitions, so spans of
+        // concurrently running tests are filtered out by `n`.
+        let g = gen::gnm(1237, 5000, 5);
+        for traversal in [
+            Traversal::Auto,
+            Traversal::TopDownPar,
+            Traversal::TopDownSeq,
+            Traversal::BottomUp,
         ] {
-            let mut dec = DecomposerBuilder::new(0.2)
-                .seed(9)
-                .traversal(traversal)
-                .build(&g)
-                .unwrap();
-            assert_eq!(dec.run(), legacy, "{traversal:?}");
+            let opts = DecompOptions::new(0.2)
+                .with_seed(9)
+                .with_traversal(traversal);
+            let session = mpx_trace::start();
+            let d = partition(&g, &opts);
+            let trace = session.finish();
+            let strategies: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| {
+                    s.name == "engine.partition" && s.arg("n") == Some(mpx_trace::Value::U64(1237))
+                })
+                .map(|s| s.arg("strategy"))
+                .collect();
+            assert_eq!(
+                strategies,
+                [Some(mpx_trace::Value::Str(traversal.as_str()))],
+                "{traversal:?}"
+            );
+            let mut dec = DecomposerBuilder::from_options(opts).build(&g).unwrap();
+            assert_eq!(d, dec.run(), "{traversal:?}");
         }
     }
 
@@ -818,12 +834,7 @@ mod tests {
         let bytes_after_batch = dec.workspace().scratch_bytes();
         assert_eq!(dec.workspace().runs(), 10);
         for (i, &s) in seeds.iter().enumerate() {
-            let fresh = partition(
-                &g,
-                &DecompOptions::new(0.15)
-                    .with_seed(s)
-                    .with_traversal(Traversal::Auto),
-            );
+            let fresh = partition(&g, &DecompOptions::new(0.15).with_seed(s));
             assert_eq!(batch[i], fresh, "seed {s}");
         }
         // Re-running the same seeds grows nothing.
@@ -843,51 +854,67 @@ mod tests {
         assert_eq!(ws.runs(), 1);
         let mut dec2 = builder.build_in(&g2, ws).unwrap();
         let d2 = dec2.run();
-        assert_eq!(
-            d1,
-            partition_hybrid(&g1, &DecompOptions::new(0.25).with_seed(4))
-        );
-        assert_eq!(
-            d2,
-            partition_hybrid(&g2, &DecompOptions::new(0.25).with_seed(4))
-        );
+        assert_eq!(d1, partition(&g1, &DecompOptions::new(0.25).with_seed(4)));
+        assert_eq!(d2, partition(&g2, &DecompOptions::new(0.25).with_seed(4)));
         assert_eq!(dec2.workspace().runs(), 2);
     }
 
     #[test]
-    fn retry_through_session_matches_free_function() {
-        let g = gen::grid2d(40, 40);
-        let opts = DecompOptions::new(0.1).with_seed(3);
-        let legacy = crate::partition_with_retry(&g, &opts, &RetryPolicy::default());
-        let mut dec = DecomposerBuilder::from_options(opts.with_traversal(Traversal::TopDownPar))
+    fn retry_accepts_quickly_on_typical_inputs() {
+        for (g, beta, seed) in [
+            (gen::grid2d(40, 40), 0.1, 3u64),
+            (gen::rmat(9, 4 << 9, 0.57, 0.19, 0.19, 2), 0.2, 1),
+            (gen::random_regular(500, 4, 9), 0.2, 2),
+            (gen::path(2000), 0.2, 3),
+        ] {
+            let out = DecomposerBuilder::new(beta)
+                .seed(seed)
+                .build(&g)
+                .unwrap()
+                .run_with_retry();
+            assert!(out.accepted, "not accepted on a typical input");
+            assert!(out.attempts <= 3, "needed {} attempts", out.attempts);
+            assert!(out.decomposition.cut_edges(&g) as f64 <= out.cut_threshold);
+            assert!((out.decomposition.max_radius() as f64) <= out.radius_threshold);
+        }
+    }
+
+    #[test]
+    fn retry_impossible_policy_returns_best_effort() {
+        let g = gen::complete(30); // every nontrivial partition cuts many edges
+        let policy = RetryPolicy {
+            cut_slack: 1e-9,
+            radius_slack: 1e-9,
+            max_attempts: 3,
+        };
+        let out = DecomposerBuilder::new(0.4)
+            .retry_policy(policy)
             .build(&g)
-            .unwrap();
-        let session = dec.run_with_retry();
-        assert_eq!(session.decomposition, legacy.decomposition);
-        assert_eq!(session.attempts, legacy.attempts);
-        assert_eq!(session.accepted, legacy.accepted);
-        assert_eq!(session.cut_threshold, legacy.cut_threshold);
-        assert_eq!(session.radius_threshold, legacy.radius_threshold);
+            .unwrap()
+            .run_with_retry();
+        assert!(!out.accepted);
+        assert_eq!(out.attempts, 3);
+        // Still a valid decomposition.
+        let r = crate::verify::verify_decomposition(&g, &out.decomposition);
+        assert!(r.is_valid());
     }
 
     #[test]
-    fn exact_and_weighted_route_through_the_builder() {
-        let g = gen::gnm(60, 150, 1);
-        let builder = DecomposerBuilder::new(0.2).seed(11);
-        let exact = builder.run_exact(&g).unwrap();
-        let mut dec = builder.build(&g).unwrap();
-        assert_eq!(exact, dec.run());
-
-        let wg = WeightedCsrGraph::unit_weights(&g);
-        let wd = builder.run_weighted(&wg).unwrap();
-        let wdp = builder.run_weighted_parallel(&wg, None).unwrap();
-        assert_eq!(wd.assignment, wdp.assignment);
-        assert!(DecomposerBuilder::new(-1.0).run_weighted(&wg).is_err());
-        assert!(DecomposerBuilder::new(f64::NAN).run_exact(&g).is_err());
+    fn retry_thresholds_scale_with_beta() {
+        let g = gen::grid2d(10, 10);
+        let retry = |beta| {
+            DecomposerBuilder::new(beta)
+                .build(&g)
+                .unwrap()
+                .run_with_retry()
+        };
+        let (o1, o2) = (retry(0.1), retry(0.2));
+        assert!(o1.cut_threshold < o2.cut_threshold);
+        assert!(o1.radius_threshold > o2.radius_threshold);
     }
 
     #[test]
-    fn weighted_session_matches_free_functions_and_reuses_arenas() {
+    fn weighted_session_matches_the_dijkstra_reference_and_reuses_arenas() {
         let g = gen::gnm(250, 800, 4);
         let wg = WeightedCsrGraph::unit_weights(&g);
         let builder = DecomposerBuilder::new(0.2).seed(6);
@@ -898,12 +925,8 @@ mod tests {
         assert_eq!(dec.workspace().runs(), 6);
         for (i, &s) in seeds.iter().enumerate() {
             let opts = DecompOptions::new(0.2).with_seed(s);
-            assert_eq!(
-                batch[i],
-                partition_weighted_parallel(&wg, &opts, None),
-                "seed {s}"
-            );
-            assert_eq!(batch[i], partition_weighted(&wg, &opts), "seed {s}");
+            let exact = wengine::partition_weighted_exact(&wg, &opts);
+            assert_eq!(batch[i], exact, "seed {s}");
         }
         // Repeats reuse arenas and stay bit-identical; the sequential
         // traversal and an explicit bucket width change nothing.
@@ -925,7 +948,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             udec.run(),
-            partition_hybrid(&g, &DecompOptions::new(0.2).with_seed(6))
+            partition(&g, &DecompOptions::new(0.2).with_seed(6))
         );
     }
 }

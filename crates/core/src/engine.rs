@@ -19,7 +19,7 @@
 //! * a [`Traversal`] strategy — [`Traversal::TopDownPar`],
 //!   [`Traversal::TopDownSeq`], [`Traversal::BottomUp`], or
 //!   [`Traversal::Auto`] (Beamer-style direction optimization switching on
-//!   the [`DecompOptions::alpha`] heuristic) — all **bit-identical** in
+//!   the [`crate::DecompOptions::alpha`] heuristic) — all **bit-identical** in
 //!   output, and
 //! * a [`GraphView`] — the whole [`CsrGraph`](mpx_graph::CsrGraph), a
 //!   zero-copy [`InducedView`](mpx_graph::InducedView) of a vertex subset,
@@ -27,10 +27,10 @@
 //!   subset — so recursive pipelines decompose pieces without materializing
 //!   induced subgraphs.
 //!
-//! [`crate::partition`], [`crate::partition_sequential`] and
-//! [`crate::partition_hybrid`] are thin wrappers pinning the strategy; they
-//! survive as the stable public API and as documentation of the three
-//! classic operating points.
+//! Callers reach it through a [`crate::Workspace`] (directly, via a
+//! [`crate::Decomposer`] session, or via the one-call [`crate::partition`]),
+//! which owns the shifts and the [`EngineScratch`] arenas this module's
+//! [`partition_view_reusing`] runs over.
 //!
 //! # Direction mechanics
 //!
@@ -47,7 +47,7 @@
 //! on mesh-like graphs (an output-invisible scheduling choice).
 
 use crate::decomposition::Decomposition;
-use crate::options::{DecompOptions, Determinism, Traversal};
+use crate::options::{Determinism, Traversal};
 use crate::shift::ExpShifts;
 use mpx_graph::{Dist, GraphView, Vertex, NO_VERTEX};
 use rayon::prelude::*;
@@ -75,42 +75,10 @@ pub struct PartitionTelemetry {
     pub cas_retries: u64,
 }
 
-/// Partitions a [`GraphView`] under `opts` (shifts generated from
-/// `opts.seed`, traversal from `opts.traversal`).
-///
-/// This is the general entry point: the classic wrappers
-/// ([`crate::partition`] & co.) pin a strategy and the full graph; the
-/// recursive pipelines call this directly on views.
-pub fn partition_view<V: GraphView>(
-    view: &V,
-    opts: &DecompOptions,
-) -> (Decomposition, PartitionTelemetry) {
-    crate::decomposer::Workspace::new().partition_view(view, opts)
-}
-
-/// The engine proper: runs the wake/expand/finalize round loop over `view`
-/// under externally supplied shifts.
-///
-/// The output is invariant under `strategy`, `alpha`, and thread count —
-/// only the telemetry's work/direction profile changes. Allocates fresh
-/// scratch per call; sessions that partition repeatedly should hold a
-/// [`crate::Workspace`] (or an [`EngineScratch`]) and call
-/// [`partition_view_reusing`] instead.
-pub fn partition_view_with_shifts<V: GraphView>(
-    view: &V,
-    shifts: &ExpShifts,
-    strategy: Traversal,
-    alpha: u64,
-) -> (Decomposition, PartitionTelemetry) {
-    partition_view_reusing(
-        view,
-        shifts,
-        strategy,
-        alpha,
-        Determinism::BitExact,
-        &mut EngineScratch::new(),
-    )
-}
+/// Below this many frontier edge-scans a round is processed inline —
+/// the per-round worker fan-out and collect overhead otherwise dominates
+/// thin-frontier (mesh-like) searches by orders of magnitude.
+pub const SEQ_ROUND_CUTOFF: u64 = 8192;
 
 /// Below this many vertices the scratch resets run inline; recursive
 /// pipelines reuse one scratch across thousands of tiny pieces and the
@@ -278,12 +246,15 @@ fn reset_atomic_u32(v: &mut Vec<AtomicU32>, n: usize, init: u32) {
     }
 }
 
-/// [`partition_view_with_shifts`] over caller-held scratch: the round loop
-/// reuses `scratch`'s arenas instead of allocating its own, so repeated
-/// calls over same-sized views allocate (almost) nothing beyond the
-/// returned [`Decomposition`]. Under [`Determinism::BitExact`] the output
-/// is bit-identical to the fresh-scratch path — resets restore exactly the
-/// state a fresh allocation starts from.
+/// The engine proper: runs the wake/expand/finalize round loop over `view`
+/// under externally supplied shifts, reusing `scratch`'s arenas, so
+/// repeated calls over same-sized views allocate (almost) nothing beyond
+/// the returned [`Decomposition`].
+///
+/// Under [`Determinism::BitExact`] the output is invariant under
+/// `strategy`, `alpha`, thread count and scratch history — resets restore
+/// exactly the state a fresh allocation starts from; only the telemetry's
+/// work/direction profile changes.
 ///
 /// # Fast mode
 ///
@@ -399,7 +370,7 @@ fn partition_view_protocol<V: GraphView>(
             telemetry.bottom_up_rounds += 1;
             // The whole round's scan cost is the remaining unsettled degree;
             // thin rounds run inline like their top-down counterparts.
-            let par = unsettled_degree >= mpx_par::bfs::SEQ_ROUND_CUTOFF;
+            let par = unsettled_degree >= SEQ_ROUND_CUTOFF;
             // Compact the unsettled list first so the scan below only
             // visits live vertices.
             {
@@ -478,7 +449,7 @@ fn partition_view_protocol<V: GraphView>(
             // (hundreds of rounds of tiny frontiers). The claim logic — and
             // therefore the output — is identical on both paths.
             let par = strategy != Traversal::TopDownSeq
-                && frontier_degree + bucket.len() as u64 >= mpx_par::bfs::SEQ_ROUND_CUTOFF;
+                && frontier_degree + bucket.len() as u64 >= SEQ_ROUND_CUTOFF;
 
             // Fast's single-shot claim: the first successful exchange wins
             // the vertex permanently and settles it on the spot — there is
@@ -646,8 +617,7 @@ fn partition_view_protocol<V: GraphView>(
 /// neighbor exists for every non-center vertex; we panic otherwise because
 /// that would falsify the decomposition.
 ///
-/// Public (and re-exported as [`crate::parallel::compute_parents`] for the
-/// full-graph case) because every decomposition algorithm in the workspace,
+/// Public because every decomposition algorithm in the workspace,
 /// including the baselines, assembles its [`Decomposition`] through this
 /// helper.
 pub fn compute_parents_view<V: GraphView>(
@@ -672,9 +642,29 @@ pub fn compute_parents_view<V: GraphView>(
         .collect()
 }
 
+/// One BitExact run over fresh scratch — the test suites' way of driving
+/// every strategy under identical shifts.
+#[cfg(test)]
+pub(crate) fn run_with_shifts<V: GraphView>(
+    view: &V,
+    shifts: &ExpShifts,
+    strategy: Traversal,
+) -> (Decomposition, PartitionTelemetry) {
+    partition_view_reusing(
+        view,
+        shifts,
+        strategy,
+        crate::options::DEFAULT_ALPHA,
+        Determinism::BitExact,
+        &mut EngineScratch::new(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{DecompOptions, TieBreak};
+    use crate::DecomposerBuilder;
     use mpx_graph::{gen, CsrGraph, InducedView};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
@@ -688,26 +678,78 @@ mod tests {
         Traversal::BottomUp,
     ];
 
+    /// Strategy identity, table-driven over `Traversal` × graph family:
+    /// under shared shifts every strategy returns the top-down labels, a
+    /// session pinned to the strategy returns them too (also on one
+    /// thread), every vertex is covered, top-down rounds scan each arc at
+    /// most once per endpoint, and no radius exceeds `δ_max`.
     #[test]
-    fn all_strategies_bit_identical() {
-        for (g, beta) in [
-            (gen::grid2d(30, 30), 0.15),
-            (gen::gnm(800, 6000, 2), 0.3),
-            (gen::rmat(9, 8 << 9, 0.57, 0.19, 0.19, 3), 0.25),
-            (gen::path(600), 0.2),
-        ] {
-            let o = opts(beta, 7);
+    fn strategies_bit_identical_across_families() {
+        let mut families = vec![
+            ("grid", gen::grid2d(35, 35), 0.15),
+            (
+                "rmat-skewed",
+                gen::rmat(9, 6 << 9, 0.57, 0.19, 0.19, 17),
+                0.25,
+            ),
+            (
+                "rmat-flat",
+                gen::rmat(11, 16 << 11, 0.57, 0.19, 0.19, 1),
+                0.3,
+            ),
+            ("gnm-dense", gen::gnm(4000, 40_000, 2), 0.5),
+            ("complete", gen::complete(60), 0.4),
+            ("hypercube", gen::hypercube(10), 0.2),
+            ("path", gen::path(2000), 0.2),
+            ("random-tree", gen::random_tree(1500, 3), 0.15),
+            ("star", gen::star(200), 0.2),
+            (
+                "disconnected",
+                CsrGraph::from_edges(7, &[(0, 1), (1, 2), (4, 5)]),
+                0.3,
+            ),
+            ("empty", CsrGraph::empty(0), 0.5),
+            ("singleton", CsrGraph::empty(1), 0.2),
+        ];
+        for seed in 0..4u64 {
+            families.push(("gnm", gen::gnm(800, 8000, seed), 0.1 + 0.1 * seed as f64));
+        }
+        for (i, (family, g, beta)) in families.iter().enumerate() {
+            let o = opts(*beta, i as u64 + 3);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
-            let (base, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, o.alpha);
+            let (base, _) = run_with_shifts(g, &shifts, Traversal::TopDownPar);
+            assert_eq!(
+                base.cluster_sizes().iter().sum::<usize>(),
+                g.num_vertices(),
+                "{family}"
+            );
+            assert!(
+                base.max_radius() as f64 <= shifts.delta_max + 1.0,
+                "{family}"
+            );
             for s in ALL_STRATEGIES {
-                let (d, t) = partition_view_with_shifts(&g, &shifts, s, o.alpha);
-                assert_eq!(base, d, "strategy {s:?}");
-                assert_eq!(t.clusters as usize, d.num_clusters());
+                let (d, t) = run_with_shifts(g, &shifts, s);
+                assert_eq!(base, d, "{family} strategy {s:?}");
+                assert_eq!(t.clusters as usize, d.num_clusters(), "{family} {s:?}");
                 if matches!(s, Traversal::TopDownPar | Traversal::TopDownSeq) {
-                    assert_eq!(t.bottom_up_rounds, 0, "strategy {s:?}");
+                    assert_eq!(t.bottom_up_rounds, 0, "{family} {s:?}");
+                    assert!(t.relaxations <= 2 * g.num_arcs() as u64, "{family} {s:?}");
                 }
+                let session = |g: &CsrGraph| {
+                    DecomposerBuilder::from_options(o.clone().with_traversal(s))
+                        .build(g)
+                        .unwrap()
+                        .run()
+                };
+                assert_eq!(session(g), base, "{family} session {s:?}");
+                let single = mpx_par::with_threads(1, || session(g));
+                assert_eq!(single, base, "{family} one-thread session {s:?}");
             }
         }
+        // Isolated vertices form singleton clusters.
+        let g = CsrGraph::from_edges(7, &[(0, 1), (1, 2), (4, 5)]);
+        let d = crate::partition(&g, &opts(0.3, 3));
+        assert_eq!((d.center_of(3), d.center_of(6)), (3, 6));
     }
 
     #[test]
@@ -715,9 +757,25 @@ mod tests {
         let g = gen::gnm(500, 4000, 1);
         let o = opts(0.4, 5);
         let shifts = ExpShifts::generate(g.num_vertices(), &o);
-        let (_, t) = partition_view_with_shifts(&g, &shifts, Traversal::BottomUp, o.alpha);
+        let (_, t) = run_with_shifts(&g, &shifts, Traversal::BottomUp);
         assert_eq!(t.rounds, t.bottom_up_rounds);
         assert!(t.rounds > 0);
+    }
+
+    #[test]
+    fn auto_bottom_up_rounds_do_trigger() {
+        // On a dense random graph with large beta the frontier covers most
+        // edges quickly; make sure Auto actually exercises both directions.
+        let g = gen::gnm(3000, 60_000, 4);
+        let shifts = ExpShifts::generate(g.num_vertices(), &opts(0.5, 2));
+        let (_, t_base) = run_with_shifts(&g, &shifts, Traversal::TopDownPar);
+        let (_, t_auto) = run_with_shifts(&g, &shifts, Traversal::Auto);
+        assert_eq!(t_base.clusters, t_auto.clusters);
+        assert!(
+            t_auto.bottom_up_rounds > 0,
+            "bottom-up never triggered; threshold or workload needs adjusting"
+        );
+        assert_ne!(t_base.relaxations, t_auto.relaxations);
     }
 
     #[test]
@@ -728,7 +786,14 @@ mod tests {
         let mut profiles = Vec::new();
         let mut outputs = Vec::new();
         for alpha in [1, 12, 1_000_000] {
-            let (d, t) = partition_view_with_shifts(&g, &shifts, Traversal::Auto, alpha);
+            let (d, t) = partition_view_reusing(
+                &g,
+                &shifts,
+                Traversal::Auto,
+                alpha,
+                Determinism::BitExact,
+                &mut EngineScratch::new(),
+            );
             profiles.push(t.bottom_up_rounds);
             outputs.push(d);
         }
@@ -751,33 +816,35 @@ mod tests {
             let o = opts(0.2, seed);
             for s in ALL_STRATEGIES {
                 let shifts = ExpShifts::generate(view.num_vertices(), &o);
-                let (via_view, _) = partition_view_with_shifts(&view, &shifts, s, o.alpha);
-                let (via_sub, _) = partition_view_with_shifts(&sub, &shifts, s, o.alpha);
+                let (via_view, _) = run_with_shifts(&view, &shifts, s);
+                let (via_sub, _) = run_with_shifts(&sub, &shifts, s);
                 assert_eq!(via_view, via_sub, "seed {seed} strategy {s:?}");
             }
         }
     }
 
     #[test]
-    fn empty_view() {
-        let g = CsrGraph::empty(0);
-        for s in ALL_STRATEGIES {
-            let (d, t) = partition_view(&g, &opts(0.3, 1).with_traversal(s));
-            assert_eq!(d.num_clusters(), 0);
-            assert_eq!(t.rounds, 0);
-        }
+    fn low_beta_gives_fewer_clusters() {
+        let g = gen::grid2d(40, 40);
+        let coarse = crate::partition(&g, &opts(0.02, 11)).num_clusters();
+        let fine = crate::partition(&g, &opts(0.4, 11)).num_clusters();
+        assert!(
+            coarse < fine,
+            "β=0.02 gave {coarse} clusters, β=0.4 gave {fine}"
+        );
     }
 
     #[test]
-    fn options_traversal_is_honored() {
-        let g = gen::gnm(1500, 20_000, 9);
-        let (d_auto, t_auto) = partition_view(
-            &g,
-            &opts(0.5, 3).with_traversal(Traversal::Auto).with_alpha(64),
-        );
-        let (d_td, t_td) = partition_view(&g, &opts(0.5, 3).with_traversal(Traversal::TopDownPar));
-        assert_eq!(d_auto, d_td);
-        assert!(t_auto.bottom_up_rounds > 0, "auto never switched");
-        assert_eq!(t_td.bottom_up_rounds, 0);
+    fn all_tie_breaks_produce_valid_partitions() {
+        let g = gen::gnm(400, 1200, 6);
+        for tb in [
+            TieBreak::FractionalShift,
+            TieBreak::Permutation,
+            TieBreak::Lexicographic,
+        ] {
+            let d = crate::partition(&g, &opts(0.2, 5).with_tie_break(tb));
+            let report = crate::verify::verify_decomposition(&g, &d);
+            assert!(report.is_valid(), "{tb:?}: {report:?}");
+        }
     }
 }

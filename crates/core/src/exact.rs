@@ -16,8 +16,8 @@
 //! Only use on small graphs.
 
 use crate::decomposition::Decomposition;
+use crate::engine::compute_parents_view;
 use crate::options::DecompOptions;
-use crate::parallel::compute_parents;
 use crate::shift::ExpShifts;
 use mpx_graph::algo::bfs;
 use mpx_graph::{CsrGraph, Dist, Vertex, INFINITY, NO_VERTEX};
@@ -57,16 +57,16 @@ pub fn partition_exact_with_shifts(g: &CsrGraph, shifts: &ExpShifts) -> Decompos
 
     let assignment: Vec<Vertex> = best.iter().map(|b| b.2).collect();
     let dist: Vec<Dist> = best.iter().map(|b| b.3).collect();
-    let parent = compute_parents(g, &assignment, &dist);
+    let parent = compute_parents_view(g, &assignment, &dist);
     Decomposition::from_raw(assignment, dist, parent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_with_shifts;
     use crate::options::TieBreak;
-    use crate::parallel::partition_with_shifts;
-    use crate::sequential::partition_sequential_with_shifts;
+    use crate::options::Traversal;
     use mpx_graph::gen;
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
@@ -82,8 +82,8 @@ mod tests {
             let o = opts(0.05 + 0.03 * (seed % 8) as f64, seed * 7 + 1);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
-            let seq = partition_sequential_with_shifts(&g, &shifts);
+            let (par, _) = run_with_shifts(&g, &shifts, Traversal::TopDownPar);
+            let (seq, _) = run_with_shifts(&g, &shifts, Traversal::TopDownSeq);
             assert_eq!(exact, par, "exact vs parallel, seed {seed}");
             assert_eq!(exact, seq, "exact vs sequential, seed {seed}");
         }
@@ -103,7 +103,7 @@ mod tests {
             let o = opts(0.2, i as u64 + 100);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
+            let (par, _) = run_with_shifts(&g, &shifts, Traversal::TopDownPar);
             assert_eq!(exact, par, "graph #{i}");
         }
     }
@@ -119,7 +119,7 @@ mod tests {
             let o = opts(0.15, 33).with_tie_break(tb);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
+            let (par, _) = run_with_shifts(&g, &shifts, Traversal::TopDownPar);
             assert_eq!(exact, par, "{tb:?}");
         }
     }
@@ -130,7 +130,7 @@ mod tests {
         let o = opts(0.3, 2);
         let shifts = ExpShifts::generate(g.num_vertices(), &o);
         let exact = partition_exact_with_shifts(&g, &shifts);
-        let (par, _) = partition_with_shifts(&g, &shifts);
+        let (par, _) = run_with_shifts(&g, &shifts, Traversal::TopDownPar);
         assert_eq!(exact, par);
         // Clusters never cross components.
         for v in [3u32, 4, 7] {

@@ -33,12 +33,12 @@
 //! [`DecompOptions::traversal`]) decides how each round is scheduled —
 //! never what it computes; every strategy is bit-identical in output:
 //!
-//! | strategy | wrapper | when to pick it |
-//! |----------|---------|-----------------|
-//! | [`Traversal::Auto`] | [`partition_hybrid`] | default; Beamer-style direction switching ([`DecompOptions::alpha`]) wins on low-diameter graphs; on meshes the default `alpha` can switch too early — pin `TopDownPar` or lower `alpha` there |
-//! | [`Traversal::TopDownPar`] | [`partition`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
-//! | [`Traversal::TopDownSeq`] | [`partition_sequential`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
-//! | [`Traversal::BottomUp`] | — | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |
+//! | strategy | when to pick it |
+//! |----------|-----------------|
+//! | [`Traversal::Auto`] | default; Beamer-style direction switching ([`DecompOptions::alpha`]) wins on low-diameter graphs; on meshes the default `alpha` can switch too early — pin `TopDownPar` or lower `alpha` there |
+//! | [`Traversal::TopDownPar`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
+//! | [`Traversal::TopDownSeq`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
+//! | [`Traversal::BottomUp`] | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |
 //!
 //! **Graph view** ([`mpx_graph::GraphView`]) decides what the engine
 //! traverses: the whole [`mpx_graph::CsrGraph`], a zero-copy
@@ -46,7 +46,7 @@
 //! [`mpx_graph::EdgeFilteredView`] of an edge subset. Recursive pipelines
 //! (HSTs, block decompositions, connectivity) partition views of the
 //! original graph instead of materializing induced subgraphs at every
-//! level — see [`engine::partition_view`].
+//! level — see [`Workspace::partition_view`].
 //!
 //! ## One front door: the `Decomposer` session
 //!
@@ -67,30 +67,15 @@
 //! | [`DecomposerBuilder`] → [`Decomposer`] | Algorithm 1 | the session front door: any [`Traversal`] × any [`mpx_graph::GraphView`], amortized scratch |
 //! | [`Decomposer::run_with_retry`] | Theorem 1.2 proof | retries until the `(β, O(log n/β))` guarantee holds |
 //! | [`Workspace::partition_view`] | Algorithm 1 | session machinery for pipelines that partition a *sequence* of views |
-//! | [`DecomposerBuilder::run_exact`] | Algorithm 2 | `O(nm)` literal reference, for testing |
 //! | [`DecomposerBuilder::build_weighted`] → [`WeightedDecomposer`] | Section 6 | weighted session: any [`Traversal`] × any [`mpx_graph::WeightedGraphView`], amortized scratch |
-//! | [`DecomposerBuilder::run_weighted`] | Section 6 | one-shot shifted multi-source Dijkstra |
-//! | [`DecomposerBuilder::run_weighted_parallel`] | Section 6 (open problem) | one-shot bucketed Δ-stepping, bit-identical to the Dijkstra path |
 //! | [`Workspace::partition_weighted_view`] | Section 6 | weighted session machinery for view sequences |
+//! | [`partition`] | Algorithm 1 | one-call shorthand: a fresh workspace at `opts.traversal` |
+//! | [`partition_exact`] | Algorithm 2 | `O(nm)` literal reference oracle, for testing |
 //! | [`wengine::partition_weighted_exact`] | Section 6 | per-center Dijkstra reference oracle, for testing |
 //!
-//! The classic free functions survive as a documented **convenience
-//! layer** — thin wrappers over the same machinery, one fresh workspace
-//! per call, outputs bit-identical to the session path:
-//!
-//! | function | wraps |
-//! |----------|-------|
-//! | [`partition`] | session @ [`Traversal::TopDownPar`] |
-//! | [`partition_sequential`] | session @ [`Traversal::TopDownSeq`] |
-//! | [`partition_hybrid`] | session @ [`Traversal::Auto`] |
-//! | [`engine::partition_view`] | session @ `opts.traversal` |
-//! | [`partition_with_retry`] | [`Decomposer::run_with_retry`] |
-//! | [`partition_exact`] | Algorithm 2 oracle (no session needed) |
-//!
 //! All variants are deterministic given `DecompOptions::seed` — every
-//! strategy, every view, every thread count, and every entry point
-//! (session or free function) returns **identical** assignments, which
-//! the test suite exploits heavily.
+//! strategy, every view, every thread count, and every entry point returns
+//! **identical** assignments, which the test suite exploits heavily.
 //!
 //! ## Example
 //!
@@ -117,42 +102,31 @@ pub mod decomposer;
 pub mod decomposition;
 pub mod engine;
 pub mod exact;
-pub mod hybrid;
 pub mod options;
-pub mod parallel;
 pub mod profile;
-pub mod retry;
-pub mod sequential;
 pub mod shift;
 pub mod stats;
 pub mod verify;
 pub mod weighted;
 pub mod wengine;
 
-pub use decomposer::{Decomposer, DecomposerBuilder, WeightedDecomposer, Workspace};
-pub use decomposition::Decomposition;
-pub use engine::{
-    partition_view, partition_view_reusing, partition_view_with_shifts, EngineScratch,
-    PartitionTelemetry,
+pub use decomposer::{
+    partition, Decomposer, DecomposerBuilder, RetryOutcome, WeightedDecomposer, Workspace,
 };
+pub use decomposition::Decomposition;
+pub use engine::{partition_view_reusing, EngineScratch, PartitionTelemetry};
 pub use exact::partition_exact;
-pub use hybrid::partition_hybrid;
 pub use options::{
     ConfigError, DecompOptions, Determinism, RetryPolicy, ShiftStrategy, TieBreak, Traversal,
     DEFAULT_ALPHA, MAX_GRAPH_SIZE,
 };
-pub use parallel::partition;
 pub use profile::{
     LatencySummary, ProfileReport, RunSample, WeightedProfileReport, WeightedRunSample,
 };
-pub use retry::{partition_with_retry, partition_with_retry_view, RetryOutcome};
-pub use sequential::partition_sequential;
 pub use shift::ExpShifts;
 pub use stats::DecompositionStats;
 pub use verify::{verify_decomposition, VerifyReport};
-pub use weighted::{
-    partition_weighted, partition_weighted_parallel, verify_weighted, WeightedDecomposition,
-};
+pub use weighted::{verify_weighted, WeightedDecomposition};
 pub use wengine::{
     compute_parents_weighted, partition_weighted_exact, validate_weights, WeightedScratch,
     WeightedTelemetry,

@@ -47,7 +47,7 @@ impl VerifyReport {
 
     /// The repo's canonical engineering form of the Theorem 1.1 radius /
     /// round bound: `⌈4·ln(max(n, 2))/β⌉ + 2`. The constant is generous
-    /// (the guarantee is probabilistic; [`crate::partition_with_retry`]
+    /// (the guarantee is probabilistic; [`crate::Decomposer::run_with_retry`]
     /// is the enforcement path) so concrete runs are expected to satisfy
     /// it essentially always. `mpx profile`, the block-decomposition
     /// checks, and the fast-mode invariant suite all share this one
@@ -174,7 +174,7 @@ fn report_with_errors(g: &CsrGraph, d: &Decomposition, errors: Vec<String>) -> V
 mod tests {
     use super::*;
     use crate::options::DecompOptions;
-    use crate::parallel::partition;
+    use crate::partition;
     use mpx_graph::{gen, NO_VERTEX};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {

@@ -15,17 +15,14 @@
 //! with deterministic request aggregation; it produces **bit-identical**
 //! decompositions to the sequential Dijkstra.
 //!
-//! This module holds the output type ([`WeightedDecomposition`]), the
-//! classic free-function entry points ([`partition_weighted`] /
-//! [`partition_weighted_parallel`] — thin wrappers that validate weights
-//! and call the strategy-routed engine in [`crate::wengine`]), and the
-//! verifier. Sessions ([`crate::DecomposerBuilder::build_weighted`]) and
-//! [`crate::Workspace::partition_weighted_view`] run the same engine with
-//! amortized scratch.
+//! This module holds the output type ([`WeightedDecomposition`]) and the
+//! verifier. Sessions ([`crate::DecomposerBuilder::build_weighted`], which
+//! validates the weights) and [`crate::Workspace::partition_weighted_view`]
+//! run the strategy-routed engine in [`crate::wengine`] with amortized
+//! scratch.
 
 use crate::decomposition::cut_edges_of_view;
-use crate::options::{DecompOptions, Traversal};
-use crate::wengine::{self, HeapEntry};
+use crate::wengine::HeapEntry;
 use mpx_graph::{GraphView, Vertex, WeightedGraphView};
 use std::collections::BinaryHeap;
 
@@ -80,49 +77,6 @@ impl WeightedDecomposition {
         } else {
             self.cut_edges(g) as f64 / m as f64
         }
-    }
-}
-
-/// Sequential weighted partition: exponentially shifted multi-source
-/// Dijkstra (paper Section 6), over any [`WeightedGraphView`].
-///
-/// # Panics
-///
-/// Panics on invalid options or on a view carrying non-finite or
-/// non-positive weights (the message of the typed
-/// [`crate::ConfigError`]); fallible callers should go through
-/// [`crate::DecomposerBuilder`] and get the error as a value.
-pub fn partition_weighted<W: WeightedGraphView>(
-    g: &W,
-    opts: &DecompOptions,
-) -> WeightedDecomposition {
-    assert_valid_weights(g);
-    let opts = opts.clone().with_traversal(Traversal::TopDownSeq);
-    wengine::partition_weighted_view(g, &opts, None).0
-}
-
-/// Parallel weighted partition via Δ-stepping with deterministic request
-/// aggregation, over any [`WeightedGraphView`]. Produces a decomposition
-/// **bit-identical** to [`partition_weighted`].
-///
-/// `delta` is the bucket width; a reasonable default is the mean edge
-/// weight (pass `None` to use it). Panics as [`partition_weighted`] does.
-pub fn partition_weighted_parallel<W: WeightedGraphView>(
-    g: &W,
-    opts: &DecompOptions,
-    delta: Option<f64>,
-) -> WeightedDecomposition {
-    assert_valid_weights(g);
-    let opts = opts.clone().with_traversal(Traversal::TopDownPar);
-    wengine::partition_weighted_view(g, &opts, delta).0
-}
-
-/// [`crate::wengine::validate_weights`], panicking on violation — the
-/// single panic point for the infallible free functions above, mirroring
-/// [`DecompOptions::assert_valid`].
-fn assert_valid_weights<W: WeightedGraphView>(g: &W) {
-    if let Err(e) = wengine::validate_weights(g) {
-        panic!("invalid weighted graph: {e}");
     }
 }
 
@@ -196,6 +150,8 @@ pub fn verify_weighted<W: WeightedGraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{DecompOptions, Traversal};
+    use crate::wengine::run_fresh;
     use mpx_graph::gen;
     use mpx_graph::{CsrGraph, WeightedCsrGraph};
     use rand::rngs::StdRng;
@@ -203,6 +159,20 @@ mod tests {
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
         DecompOptions::new(beta).with_seed(seed)
+    }
+
+    /// The sequential heap-Dijkstra run.
+    fn heap_dijkstra<W: WeightedGraphView>(g: &W, o: &DecompOptions) -> WeightedDecomposition {
+        run_fresh(g, &o.clone().with_traversal(Traversal::TopDownSeq), None).0
+    }
+
+    /// The Δ-stepping run at bucket width `delta`.
+    fn delta_stepping<W: WeightedGraphView>(
+        g: &W,
+        o: &DecompOptions,
+        delta: Option<f64>,
+    ) -> WeightedDecomposition {
+        run_fresh(g, &o.clone().with_traversal(Traversal::TopDownPar), delta).0
     }
 
     fn random_weighted(g: &CsrGraph, seed: u64) -> WeightedCsrGraph {
@@ -217,7 +187,7 @@ mod tests {
     #[test]
     fn weighted_partition_is_valid() {
         let g = random_weighted(&gen::grid2d(20, 20), 1);
-        let d = partition_weighted(&g, &opts(0.1, 2));
+        let d = heap_dijkstra(&g, &opts(0.1, 2));
         assert!(verify_weighted(&g, &d).is_ok());
         assert!(d.num_clusters() >= 1);
     }
@@ -234,7 +204,7 @@ mod tests {
             let g = gen::grid2d(15, 15);
             let wg = WeightedCsrGraph::unit_weights(&g);
             let o = opts(0.2, seed);
-            let wd = partition_weighted(&wg, &o);
+            let wd = heap_dijkstra(&wg, &o);
             let ud = crate::partition(&g, &o);
             for v in 0..g.num_vertices() {
                 assert_eq!(
@@ -256,8 +226,8 @@ mod tests {
         for seed in 0..6u64 {
             let g = random_weighted(&gen::gnm(200, 600, seed), seed + 50);
             let o = opts(0.15, seed);
-            let a = partition_weighted(&g, &o);
-            let b = partition_weighted_parallel(&g, &o, None);
+            let a = heap_dijkstra(&g, &o);
+            let b = delta_stepping(&g, &o, None);
             assert_eq!(a.assignment, b.assignment, "seed {seed}");
             for v in 0..g.num_vertices() {
                 assert_eq!(
@@ -273,9 +243,9 @@ mod tests {
     fn delta_stepping_various_widths() {
         let g = random_weighted(&gen::grid2d(12, 12), 3);
         let o = opts(0.2, 4);
-        let reference = partition_weighted(&g, &o);
+        let reference = heap_dijkstra(&g, &o);
         for delta in [0.05, 0.5, 2.0, 100.0] {
-            let d = partition_weighted_parallel(&g, &o, Some(delta));
+            let d = delta_stepping(&g, &o, Some(delta));
             assert_eq!(reference.assignment, d.assignment, "delta {delta}");
         }
     }
@@ -286,7 +256,7 @@ mod tests {
         let runs = 4;
         let avg_cut = |beta: f64| -> f64 {
             (0..runs)
-                .map(|s| partition_weighted(&g, &opts(beta, s)).cut_fraction(&g))
+                .map(|s| heap_dijkstra(&g, &opts(beta, s)).cut_fraction(&g))
                 .sum::<f64>()
                 / runs as f64
         };
@@ -300,7 +270,7 @@ mod tests {
         // assignment over the skeleton.
         let skeleton = gen::gnm(120, 360, 11);
         let g = random_weighted(&skeleton, 12);
-        let d = partition_weighted(&g, &opts(0.25, 3));
+        let d = heap_dijkstra(&g, &opts(0.25, 3));
         let brute = g
             .edges()
             .filter(|&(u, v, _)| d.assignment[u as usize] != d.assignment[v as usize])
@@ -313,7 +283,7 @@ mod tests {
     #[test]
     fn weighted_verifier_detects_bad_distances() {
         let g = random_weighted(&gen::path(5), 1);
-        let mut d = partition_weighted(&g, &opts(0.3, 1));
+        let mut d = heap_dijkstra(&g, &opts(0.3, 1));
         if d.dist_to_center.len() > 1 {
             d.dist_to_center[1] += 10.0;
         }
@@ -323,7 +293,7 @@ mod tests {
     #[test]
     fn empty_weighted_graph() {
         let g = WeightedCsrGraph::from_edges(0, &[]);
-        let d = partition_weighted_parallel(&g, &opts(0.2, 0), None);
+        let d = delta_stepping(&g, &opts(0.2, 0), None);
         assert_eq!(d.num_clusters(), 0);
     }
 }

@@ -25,8 +25,8 @@
 //! Like [`crate::engine`], all arenas live in a reusable scratch
 //! ([`WeightedScratch`], owned by [`crate::Workspace`]) so repeated runs
 //! amortize allocation; and like the unweighted engine, this module does
-//! not validate inputs — the session/builder/free-function entry layers
-//! enforce weight validity via [`validate_weights`] first.
+//! not validate inputs — the session builder enforces weight validity via
+//! [`validate_weights`] first.
 
 use crate::options::{ConfigError, DecompOptions, Determinism, Traversal};
 use crate::shift::ExpShifts;
@@ -141,8 +141,7 @@ impl WeightedScratch {
 
 /// Rejects a weighted view carrying a non-finite or non-positive edge
 /// weight with a typed [`ConfigError::InvalidWeight`] naming the first
-/// offending edge (lowest `(u, v)`). Every weighted partition entry point
-/// — the free functions, the builder runs, and session builds — routes
+/// offending edge (lowest `(u, v)`). Every weighted session build routes
 /// through this check, so bad weights can never silently propagate NaN
 /// distances into a decomposition.
 pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigError> {
@@ -166,8 +165,11 @@ pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigErro
 /// [`crate::Workspace::partition_weighted_view`].
 ///
 /// `delta` is the Δ-stepping bucket width; `None` uses the mean edge
-/// weight. The width (like the strategy and the thread count) affects
-/// wall-clock only — output is bit-identical for every choice.
+/// weight. A width below `δ_max / n` is raised to it: every tentative
+/// distance is at most its start time `≤ δ_max`, so the bucket index then
+/// stays `≤ n` however small the weights are. The width (like the strategy
+/// and the thread count) affects wall-clock only — output is bit-identical
+/// for every choice.
 ///
 /// `determinism` selects the request-aggregation protocol of the
 /// Δ-stepping path. [`Determinism::BitExact`] sorts each request batch by
@@ -238,6 +240,7 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
                 delta > 0.0 && delta.is_finite(),
                 "delta must be positive and finite, got {delta}"
             );
+            let delta = delta.max(shifts.delta_max / n as f64);
             if determinism == Determinism::Fast {
                 mpx_runtime::with_scheduler(mpx_runtime::Scheduler::WorkStealing, || {
                     delta_stepping(view, &start[..n], delta, true, scratch)
@@ -254,29 +257,21 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     (d, telemetry)
 }
 
-/// One-shot form of [`partition_weighted_view_reusing`]: fresh shifts from
-/// `opts`, fresh scratch. The engine behind the classic free functions
-/// ([`crate::partition_weighted`] & co.).
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`DecompOptions::validate`]. Does **not**
-/// validate weights — callers do ([`validate_weights`]).
-pub fn partition_weighted_view<W: WeightedGraphView>(
+/// One BitExact run over fresh shifts from `opts` and fresh scratch, at
+/// `opts.traversal` — the test suites' one-shot weighted run.
+#[cfg(test)]
+pub(crate) fn run_fresh<W: WeightedGraphView>(
     view: &W,
     opts: &DecompOptions,
     delta: Option<f64>,
 ) -> (WeightedDecomposition, WeightedTelemetry) {
-    opts.assert_valid();
-    let shifts = ExpShifts::generate(view.num_vertices(), opts);
-    let mut scratch = WeightedScratch::new();
     partition_weighted_view_reusing(
         view,
-        &shifts,
+        &ExpShifts::generate(view.num_vertices(), opts),
         opts.traversal,
         delta,
-        opts.determinism,
-        &mut scratch,
+        Determinism::BitExact,
+        &mut WeightedScratch::new(),
     )
 }
 
@@ -778,8 +773,7 @@ mod tests {
                 Traversal::TopDownSeq,
                 Traversal::BottomUp,
             ] {
-                let (d, t) =
-                    partition_weighted_view(&g, &o.clone().with_traversal(traversal), None);
+                let (d, t) = run_fresh(&g, &o.clone().with_traversal(traversal), None);
                 assert_eq!(d.assignment, exact.assignment, "{traversal:?} seed {seed}");
                 for v in 0..g.num_vertices() {
                     assert_eq!(
@@ -893,9 +887,37 @@ mod tests {
         let edges: Vec<(Vertex, Vertex, f64)> = mpx_graph::weighted_view_edges(&view).collect();
         let sub = WeightedCsrGraph::from_edges(view.active().len(), &edges);
         let o = opts(0.25, 3);
-        let (via_view, _) = partition_weighted_view(&view, &o, None);
-        let (via_sub, _) = partition_weighted_view(&sub, &o, None);
+        let (via_view, _) = run_fresh(&view, &o, None);
+        let (via_sub, _) = run_fresh(&sub, &o, None);
         assert_eq!(via_view, via_sub);
+    }
+
+    /// With positive weights far below the shifts' scale, a width of `w`
+    /// (the mean weight, or an explicit one) would index `δ_max / w`
+    /// buckets. The clamp to `δ_max / n` bounds that by `n`, and the
+    /// labels still match heap Dijkstra bit for bit.
+    #[test]
+    fn tiny_weights_match_heap_dijkstra() {
+        let path = gen::path(200);
+        for w in [1e-7, 1e-9, 1e-300] {
+            let edges: Vec<(Vertex, Vertex, f64)> = path.edges().map(|(u, v)| (u, v, w)).collect();
+            let g = WeightedCsrGraph::from_edges(200, &edges);
+            let o = opts(0.1, 3);
+            let (heap, _) = run_fresh(&g, &o.clone().with_traversal(Traversal::TopDownSeq), None);
+            for delta in [None, Some(w)] {
+                let (d, t) = run_fresh(&g, &o, delta);
+                assert_eq!(d.assignment, heap.assignment, "w {w} {delta:?}");
+                for v in 0..200 {
+                    assert_eq!(
+                        d.dist_to_center[v].to_bits(),
+                        heap.dist_to_center[v].to_bits(),
+                        "w {w} {delta:?} vertex {v}"
+                    );
+                }
+                let floor = ExpShifts::generate(200, &o).delta_max / 200.0;
+                assert!(t.delta >= floor, "w {w} {delta:?}: width {}", t.delta);
+            }
+        }
     }
 
     #[test]
@@ -945,7 +967,7 @@ mod tests {
     #[test]
     fn parents_form_shortest_path_trees() {
         let g = random_weighted(&gen::grid2d(9, 9), 8);
-        let (d, _) = partition_weighted_view(&g, &opts(0.3, 5), None);
+        let (d, _) = run_fresh(&g, &opts(0.3, 5), None);
         let parents = compute_parents_weighted(&g, &d);
         for (v, &parent) in parents.iter().enumerate() {
             if d.assignment[v] == v as Vertex {

@@ -100,7 +100,7 @@ impl LoadgenReport {
     }
 
     /// Renders the `BENCH_serve` JSON document (stable key order, no
-    /// external dependencies — same convention as the other benches).
+    /// external dependencies — same convention as the `mpx bench*` JSON).
     pub fn to_json(&self) -> String {
         let min = self.latencies_ms.first().copied().unwrap_or(0.0);
         let max = self.latencies_ms.last().copied().unwrap_or(0.0);

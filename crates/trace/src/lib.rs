@@ -11,7 +11,7 @@
 //!   stack;
 //! * **instant events** — [`event!`] records a single timestamped mark;
 //! * a **counter registry** on the collected [`Trace`] that absorbs
-//!   engine telemetry (`mpx_par::Telemetry`) and epoch-scoped
+//!   engine telemetry (`mpx_decomp::PartitionTelemetry`) and epoch-scoped
 //!   `mpx_runtime::stats` deltas as first-class metrics;
 //! * **exporters**: a human-readable aggregated phase tree
 //!   ([`Trace::to_human`]), machine-readable JSON ([`Trace::to_json`]),

@@ -65,12 +65,18 @@ fn main() {
         session.workspace().runs(),
     );
 
-    // Determinism across the whole engine: the classic free functions are
-    // wrappers over the same machinery, every traversal strategy returns
-    // identical labels.
-    let opts = DecompOptions::new(beta).with_seed(42);
-    assert_eq!(d, partition_hybrid(&g, &opts));
-    assert_eq!(d, partition(&g, &opts));
-    assert_eq!(d, partition_sequential(&g, &opts));
-    println!("free-function wrappers: identical output (same seed)");
+    // Determinism across the whole engine: the one-call `partition` runs
+    // the same machinery, and every traversal strategy returns identical
+    // labels.
+    for traversal in [
+        Traversal::Auto,
+        Traversal::TopDownPar,
+        Traversal::TopDownSeq,
+    ] {
+        let opts = DecompOptions::new(beta)
+            .with_seed(42)
+            .with_traversal(traversal);
+        assert_eq!(d, partition(&g, &opts));
+    }
+    println!("partition at every strategy: identical output (same seed)");
 }

@@ -9,9 +9,7 @@
 //! ```
 
 use mpx::apps::{spanner_weighted, WeightedDistanceOracle};
-use mpx::decomp::{
-    partition_weighted, verify_weighted, DecompOptions, DecomposerBuilder, Traversal,
-};
+use mpx::decomp::{verify_weighted, DecomposerBuilder, Traversal};
 use mpx::graph::{algo, gen, Vertex, WeightedCsrGraph};
 
 /// Deterministic `U[0.25, 4]` edge lengths hashed from seed + endpoints —
@@ -37,9 +35,15 @@ fn main() {
         g.total_weight()
     );
 
-    // Free function: sequential multi-source shifted Dijkstra.
-    let opts = DecompOptions::new(0.1).with_seed(7);
-    let d = partition_weighted(&g, &opts);
+    // Sequential multi-source shifted Dijkstra (the weighted session at
+    // `TopDownSeq`).
+    let builder = DecomposerBuilder::new(0.1).seed(7);
+    let d = builder
+        .clone()
+        .traversal(Traversal::TopDownSeq)
+        .build_weighted(&g)
+        .expect("valid weighted graph")
+        .run();
     println!(
         "\nsequential Dijkstra:  {} clusters, max radius {:.3}, cut fraction {:.4}",
         d.num_clusters(),
@@ -48,12 +52,12 @@ fn main() {
     );
     verify_weighted(&g, &d).expect("Section 6 guarantees");
 
-    // Session API: the parallel Δ-stepping engine through a reusable
-    // workspace — same labels, bit for bit.
-    let builder = DecomposerBuilder::new(0.1)
-        .seed(7)
-        .traversal(Traversal::TopDownPar);
-    let mut session = builder.build_weighted(&g).expect("valid weighted graph");
+    // The parallel Δ-stepping engine through the same session API — same
+    // labels, bit for bit.
+    let mut session = builder
+        .traversal(Traversal::TopDownPar)
+        .build_weighted(&g)
+        .expect("valid weighted graph");
     let (dp, telemetry) = session.run_instrumented();
     println!(
         "parallel Δ-stepping:  {} buckets, {} phases, {} relaxations (Δ = {:.3})",

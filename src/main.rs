@@ -1378,8 +1378,8 @@ fn bench_weighted(spec: &str, beta: f64, seed: u64, flags: &RunFlags) -> Result<
 /// `mpx bench-session <workload> <beta> [seed] [--runs K] [--threads N]
 /// [--strategy S]` — measures the amortization the `Decomposer` session
 /// API buys: K decompositions with fresh per-run seeds, once as K
-/// independent fresh runs (a new workspace per call — the free-function
-/// cost model) and once through one session reusing its workspace
+/// independent fresh runs (a new workspace per call — the cost model of
+/// the one-call `partition`) and once through one session reusing its workspace
 /// (`run_many`). Asserts the two label sequences are identical and emits
 /// one JSON object with both timings. CI archives this as the
 /// `BENCH_session_*.json` perf-trajectory evidence.
@@ -1747,7 +1747,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let (n, m) = (g.num_vertices(), g.num_edges());
     // Theorem 1.1: radius (hence rounds) is O(log n / β) w.h.p. Reported
     // with generous constants rather than hard-failed — it is a
-    // probabilistic guarantee, and `partition_with_retry` is the
+    // probabilistic guarantee, and `Decomposer::run_with_retry` is the
     // enforcement path.
     let round_bound = VerifyReport::radius_bound(n, beta);
     let max_rounds = report.max_rounds();

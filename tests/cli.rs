@@ -474,6 +474,48 @@ fn weighted_pipeline_round_trips_and_strategies_agree() {
     }
 }
 
+/// Positive edge weights far below the shifts' scale (a 200-vertex path
+/// with 1e-9 lengths): the weighted snapshot must partition, verify, and
+/// match sequential Dijkstra without sizing Δ-stepping's buckets by
+/// `δ_max / w`.
+#[test]
+fn tiny_weights_partition_from_a_weighted_snapshot() {
+    let txt = tmp("tiny-w.txt");
+    let snap = tmp("tiny-w.mpx");
+    let edges: String = (0..199).map(|u| format!("{u} {} 1e-9\n", u + 1)).collect();
+    std::fs::write(&txt, format!("200 199\n{edges}")).unwrap();
+    run_ok(&[
+        "convert",
+        txt.to_str().unwrap(),
+        snap.to_str().unwrap(),
+        "--weighted",
+    ]);
+    let mut labels = Vec::new();
+    for strategy in ["auto", "sequential"] {
+        let labels_path = tmp(&format!("tiny-w-labels-{strategy}"));
+        let text = run_ok(&[
+            "partition",
+            snap.to_str().unwrap(),
+            "0.1",
+            "3",
+            labels_path.to_str().unwrap(),
+            "--weighted",
+            "--strategy",
+            strategy,
+        ]);
+        assert!(text.contains("verified: weighted partition"), "{text}");
+        labels.push(std::fs::read_to_string(&labels_path).unwrap());
+        std::fs::remove_file(labels_path).ok();
+    }
+    assert_eq!(
+        labels[0], labels[1],
+        "Δ-stepping and Dijkstra labels differ"
+    );
+    for p in [txt, snap] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 #[test]
 fn inspect_rejects_corrupt_snapshot() {
     let snap = tmp("corrupt-cli.mpx");

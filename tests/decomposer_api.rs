@@ -1,13 +1,11 @@
 //! API-equivalence contract of the `Decomposer` session front door: every
-//! run through the builder is bit-identical to the legacy `partition*`
-//! free functions — across all four traversal strategies, across thread
-//! counts, across `CsrGraph`-vs-`MappedCsr` sources, and with `run_many`
-//! matching independent fresh runs seed for seed.
+//! run through the builder is bit-identical to the one-call `partition`
+//! free function and the Algorithm 2 oracle — across all four traversal
+//! strategies, across thread counts, across `CsrGraph`-vs-`MappedCsr`
+//! sources, and with `run_many` matching independent fresh runs seed for
+//! seed.
 
-use mpx::decomp::{
-    partition_exact, partition_with_retry, partition_with_retry_view, DecomposerBuilder,
-    RetryPolicy,
-};
+use mpx::decomp::{partition_exact, DecomposerBuilder};
 use mpx::graph::snapshot;
 use mpx::prelude::*;
 use proptest::prelude::*;
@@ -29,16 +27,9 @@ fn builder(beta: f64, seed: u64, strategy: Traversal) -> DecomposerBuilder {
     DecomposerBuilder::new(beta).seed(seed).traversal(strategy)
 }
 
-/// The legacy free function that pins `strategy`, where one exists;
-/// `partition_view` (which honors the options' traversal) otherwise.
+/// The one-call free function at `strategy` (a fresh workspace per call).
 fn legacy(g: &CsrGraph, opts: &DecompOptions, strategy: Traversal) -> Decomposition {
-    let opts = opts.clone().with_traversal(strategy);
-    match strategy {
-        Traversal::TopDownPar => partition(g, &opts),
-        Traversal::TopDownSeq => partition_sequential(g, &opts),
-        Traversal::Auto => partition_hybrid(g, &opts),
-        Traversal::BottomUp => partition_view(g, &opts).0,
-    }
+    partition(g, &opts.clone().with_traversal(strategy))
 }
 
 #[test]
@@ -88,9 +79,9 @@ fn retry_session_works_over_a_mapped_snapshot() {
     let path = tmp("retry.mpx");
     snapshot::write_snapshot(&g, &path).unwrap();
     let mapped = mpx::graph::MappedCsr::open(&path).unwrap();
-    let opts = DecompOptions::new(0.1).with_seed(5);
-    let on_graph = partition_with_retry(&g, &opts, &RetryPolicy::default());
-    let on_map = partition_with_retry_view(&mapped, &opts, &RetryPolicy::default());
+    let b = DecomposerBuilder::new(0.1).seed(5);
+    let on_graph = b.build(&g).unwrap().run_with_retry();
+    let on_map = b.build(&mapped).unwrap().run_with_retry();
     assert_eq!(on_graph.decomposition, on_map.decomposition);
     assert_eq!(on_graph.attempts, on_map.attempts);
     assert_eq!(on_graph.accepted, on_map.accepted);
@@ -109,9 +100,9 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On arbitrary graphs, the session output equals every legacy entry
-    /// point — including the O(nm) Algorithm 2 oracle — for every
-    /// traversal strategy.
+    /// On arbitrary graphs, the session output equals the one-call
+    /// `partition` and the O(nm) Algorithm 2 oracle for every traversal
+    /// strategy.
     #[test]
     fn session_equals_all_legacy_paths_on_arbitrary_graphs(
         g in arb_graph(90, 260),

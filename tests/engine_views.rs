@@ -6,7 +6,7 @@
 //! the traversal strategy as a pure wall-clock knob and the views as free
 //! of semantic cost.
 
-use mpx::decomp::{partition, partition_view, DecompOptions, Traversal};
+use mpx::decomp::{partition, DecompOptions, Traversal, Workspace};
 use mpx::graph::{gen, CsrGraph, InducedView};
 use mpx::par::with_threads;
 
@@ -48,7 +48,7 @@ fn strategies_bit_identical_across_families_seeds_threads() {
             for threads in [1usize, 2, 4, 8] {
                 for strategy in STRATEGIES {
                     let opts = base_opts.clone().with_traversal(strategy);
-                    let d = with_threads(threads, || partition_view(&g, &opts).0);
+                    let d = with_threads(threads, || partition(&g, &opts));
                     assert_eq!(
                         baseline.assignment(),
                         d.assignment(),
@@ -74,10 +74,7 @@ fn induced_view_bit_identical_to_materialized_subgraph() {
                         .with_seed(seed)
                         .with_traversal(strategy);
                     let (via_view, via_sub) = with_threads(threads, || {
-                        (
-                            partition_view(&view, &opts).0,
-                            partition_view(&sub, &opts).0,
-                        )
+                        (partition(&view, &opts), partition(&sub, &opts))
                     });
                     assert_eq!(
                         via_view.assignment(),
@@ -96,9 +93,12 @@ fn engine_telemetry_strategy_profiles_differ_but_outputs_agree() {
     // outputs equal, work profiles distinct — proof the strategies are real.
     let g = gen::gnm(2000, 30_000, 4);
     let opts = DecompOptions::new(0.5).with_seed(2);
-    let (d_td, t_td) = partition_view(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
-    let (d_auto, t_auto) = partition_view(&g, &opts.clone().with_traversal(Traversal::Auto));
-    let (d_bu, t_bu) = partition_view(&g, &opts.clone().with_traversal(Traversal::BottomUp));
+    let (d_td, t_td) =
+        Workspace::new().partition_view(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
+    let (d_auto, t_auto) =
+        Workspace::new().partition_view(&g, &opts.clone().with_traversal(Traversal::Auto));
+    let (d_bu, t_bu) =
+        Workspace::new().partition_view(&g, &opts.clone().with_traversal(Traversal::BottomUp));
     assert_eq!(d_td, d_auto);
     assert_eq!(d_td, d_bu);
     assert_eq!(t_td.bottom_up_rounds, 0);

@@ -2,8 +2,8 @@
 //! entry point, on every graph family, checked by the full verifier.
 
 use mpx::decomp::{
-    partition, partition_exact, partition_sequential, partition_with_retry, verify_decomposition,
-    DecompOptions, RetryPolicy, TieBreak, VerifyReport,
+    partition, partition_exact, verify_decomposition, DecompOptions, DecomposerBuilder, TieBreak,
+    Traversal, VerifyReport,
 };
 use mpx::graph::gen::{self, Workload};
 use mpx::par::with_threads;
@@ -41,8 +41,8 @@ fn three_implementations_agree_end_to_end() {
     for seed in 0..5u64 {
         let g = gen::gnm(120, 400, seed);
         let opts = DecompOptions::new(0.15).with_seed(seed);
-        let par = partition(&g, &opts);
-        let seq = partition_sequential(&g, &opts);
+        let par = partition(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
+        let seq = partition(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
         let exact = partition_exact(&g, &opts);
         assert_eq!(par, seq);
         assert_eq!(par, exact);
@@ -64,11 +64,11 @@ fn retry_driver_delivers_theorem_1_2() {
     // and radius bounds hold simultaneously.
     let g = gen::grid2d(60, 60);
     for beta in [0.05, 0.2] {
-        let out = partition_with_retry(
-            &g,
-            &DecompOptions::new(beta).with_seed(1),
-            &RetryPolicy::default(),
-        );
+        let out = DecomposerBuilder::new(beta)
+            .seed(1)
+            .build(&g)
+            .unwrap()
+            .run_with_retry();
         assert!(out.accepted, "β={beta} never accepted");
         let d = &out.decomposition;
         assert!(d.cut_edges(&g) as f64 <= out.cut_threshold);

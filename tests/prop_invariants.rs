@@ -1,13 +1,25 @@
 //! Property-based tests (proptest) of the core invariants, on arbitrary
 //! random graphs and parameters.
 
-use mpx::decomp::parallel::partition_with_shifts;
-use mpx::decomp::sequential::partition_sequential_with_shifts;
 use mpx::decomp::{
-    partition, partition_sequential, verify_decomposition, DecompOptions, ExpShifts, TieBreak,
+    partition, partition_view_reusing, verify_decomposition, DecompOptions, Decomposition,
+    Determinism, EngineScratch, ExpShifts, TieBreak, Traversal, DEFAULT_ALPHA,
 };
 use mpx::graph::{algo, CsrGraph, Vertex};
 use proptest::prelude::*;
+
+/// One engine run at `strategy` under externally supplied shifts.
+fn partition_with_shifts(g: &CsrGraph, shifts: &ExpShifts, strategy: Traversal) -> Decomposition {
+    partition_view_reusing(
+        g,
+        shifts,
+        strategy,
+        DEFAULT_ALPHA,
+        Determinism::BitExact,
+        &mut EngineScratch::new(),
+    )
+    .0
+}
 
 /// Strategy: an arbitrary simple graph with up to `max_n` vertices and
 /// `max_m` random edge records (dedup'd by the builder).
@@ -54,8 +66,8 @@ proptest! {
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed).with_tie_break(tb);
         let shifts = ExpShifts::generate(g.num_vertices(), &opts);
-        let (par, _) = partition_with_shifts(&g, &shifts);
-        let seq = partition_sequential_with_shifts(&g, &shifts);
+        let par = partition_with_shifts(&g, &shifts, Traversal::TopDownPar);
+        let seq = partition_with_shifts(&g, &shifts, Traversal::TopDownSeq);
         prop_assert_eq!(par, seq);
     }
 
@@ -69,7 +81,7 @@ proptest! {
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed);
         let shifts = ExpShifts::generate(g.num_vertices(), &opts);
-        let (d, _) = partition_with_shifts(&g, &shifts);
+        let d = partition_with_shifts(&g, &shifts, Traversal::TopDownPar);
         prop_assert!((d.max_radius() as f64) <= shifts.delta_max + 1.0);
     }
 
@@ -159,6 +171,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed);
-        prop_assert_eq!(partition(&g, &opts), partition_sequential(&g, &opts));
+        prop_assert_eq!(
+            partition(&g, &opts),
+            partition(&g, &opts.clone().with_traversal(Traversal::TopDownSeq))
+        );
     }
 }

@@ -2,9 +2,9 @@
 //! corruption of a valid decomposition, and the hybrid/weighted variants
 //! must stay equivalent to their references under arbitrary inputs.
 
-use mpx::decomp::weighted::{partition_weighted, partition_weighted_parallel, verify_weighted};
 use mpx::decomp::{
-    partition, partition_hybrid, verify_decomposition, DecompOptions, Decomposition, ShiftStrategy,
+    partition, verify_decomposition, verify_weighted, DecompOptions, DecomposerBuilder,
+    Decomposition, ShiftStrategy, Traversal,
 };
 use mpx::graph::{CsrGraph, Vertex, WeightedCsrGraph, NO_VERTEX};
 use proptest::prelude::*;
@@ -120,7 +120,10 @@ proptest! {
             ShiftStrategy::SampledExponential
         };
         let opts = DecompOptions::new(beta).with_seed(seed).with_shift_strategy(strat);
-        prop_assert_eq!(partition(&g, &opts), partition_hybrid(&g, &opts));
+        prop_assert_eq!(
+            partition(&g, &opts.clone().with_traversal(Traversal::TopDownPar)),
+            partition(&g, &opts.with_traversal(Traversal::Auto))
+        );
     }
 
     /// Weighted Δ-stepping equals weighted Dijkstra on arbitrary weighted
@@ -140,9 +143,12 @@ proptest! {
             })
             .collect();
         let wg = WeightedCsrGraph::from_edges(g.num_vertices(), &edges);
-        let opts = DecompOptions::new(0.2).with_seed(seed);
-        let a = partition_weighted(&wg, &opts);
-        let b = partition_weighted_parallel(&wg, &opts, Some(2f64.powi(delta_exp)));
+        let session = |t| DecomposerBuilder::new(0.2).seed(seed).traversal(t).build_weighted(&wg);
+        let a = session(Traversal::TopDownSeq).unwrap().run();
+        let b = session(Traversal::TopDownPar)
+            .unwrap()
+            .with_delta(Some(2f64.powi(delta_exp)))
+            .run();
         prop_assert_eq!(&a.assignment, &b.assignment);
         prop_assert!(verify_weighted(&wg, &a).is_ok());
     }

@@ -7,10 +7,7 @@
 //! parallelism real. This is the invariant every later performance PR
 //! must preserve.
 
-use mpx::decomp::{
-    partition, partition_exact, partition_hybrid, partition_sequential, verify_decomposition,
-    DecompOptions,
-};
+use mpx::decomp::{partition, partition_exact, verify_decomposition, DecompOptions, Traversal};
 use mpx::graph::{gen, CsrGraph};
 use mpx::par::with_threads;
 
@@ -18,9 +15,10 @@ fn assert_all_variants_identical(g: &CsrGraph, name: &str) {
     for seed in [1u64, 42, 20130723] {
         for beta in [0.1, 0.25] {
             let opts = DecompOptions::new(beta).with_seed(seed);
-            let par = partition(g, &opts);
-            let seq = partition_sequential(g, &opts);
-            let hyb = partition_hybrid(g, &opts);
+            let run = |t| partition(g, &opts.clone().with_traversal(t));
+            let par = run(Traversal::TopDownPar);
+            let seq = run(Traversal::TopDownSeq);
+            let hyb = run(Traversal::Auto);
             let exact = partition_exact(g, &opts);
 
             assert_eq!(
@@ -67,7 +65,9 @@ fn all_variants_identical_on_gnm() {
 /// collect/reduce order thread-independent; this test pins both.
 fn assert_thread_sweep_identical(g: &CsrGraph, name: &str) {
     for seed in [3u64, 20130723] {
-        let opts = DecompOptions::new(0.2).with_seed(seed);
+        let opts = DecompOptions::new(0.2)
+            .with_seed(seed)
+            .with_traversal(Traversal::TopDownPar);
         let baseline = with_threads(1, || partition(g, &opts));
         let report = verify_decomposition(g, &baseline);
         assert!(

@@ -7,11 +7,26 @@
 //! sizes.
 
 use mpx::decomp::{
-    partition, partition_weighted, partition_weighted_exact, partition_weighted_parallel,
-    verify_weighted, DecompOptions, DecomposerBuilder, Traversal, WeightedDecomposition,
+    partition, partition_weighted_exact, verify_weighted, DecompOptions, DecomposerBuilder,
+    Traversal, WeightedDecomposition,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, MappedWeightedCsr, Vertex, WeightedCsrGraph};
 use proptest::prelude::*;
+
+/// One weighted session run at `strategy` and bucket width `delta`
+/// (`TopDownSeq` = heap Dijkstra, `TopDownPar` = Δ-stepping).
+fn weighted_run(
+    g: &WeightedCsrGraph,
+    opts: &DecompOptions,
+    strategy: Traversal,
+    delta: Option<f64>,
+) -> WeightedDecomposition {
+    DecomposerBuilder::from_options(opts.clone().with_traversal(strategy))
+        .build_weighted(g)
+        .expect("valid weighted graph")
+        .with_delta(delta)
+        .run()
+}
 
 /// Deterministic `U[0.25, 4]` lengths hashed from seed + endpoints — the
 /// same model the bench CLI and the T12 table use.
@@ -83,9 +98,9 @@ fn all_strategies_match_exact_reference_across_families() {
 fn bucket_width_never_changes_the_answer() {
     let g = random_lengths(&gen::gnm(200, 800, 3), 23);
     let opts = DecompOptions::new(0.2).with_seed(9);
-    let reference = partition_weighted(&g, &opts);
+    let reference = weighted_run(&g, &opts, Traversal::TopDownSeq, None);
     for delta in [None, Some(0.1), Some(1.0), Some(7.5), Some(1e6)] {
-        let d = partition_weighted_parallel(&g, &opts, delta);
+        let d = weighted_run(&g, &opts, Traversal::TopDownPar, delta);
         assert_bit_identical(&reference, &d, &format!("delta={delta:?}"));
     }
 }
@@ -120,7 +135,7 @@ fn unit_weights_reproduce_the_unweighted_engine() {
         let g = WeightedCsrGraph::unit_weights(&skeleton);
         let opts = DecompOptions::new(0.25).with_seed(seed);
         let unweighted = partition(&skeleton, &opts);
-        let weighted = partition_weighted_parallel(&g, &opts, None);
+        let weighted = weighted_run(&g, &opts, Traversal::TopDownPar, None);
         assert_eq!(
             weighted.assignment,
             unweighted.assignment().to_vec(),
@@ -162,8 +177,8 @@ proptest! {
         // under- and over-bucketed regimes.
         let delta = (delta_k > 0).then_some(delta_k as f64 * delta_k as f64 * 0.75);
         let opts = DecompOptions::new(beta).with_seed(seed);
-        let dij = partition_weighted(&g, &opts);
-        let ds = partition_weighted_parallel(&g, &opts, delta);
+        let dij = weighted_run(&g, &opts, Traversal::TopDownSeq, None);
+        let ds = weighted_run(&g, &opts, Traversal::TopDownPar, delta);
         let exact = partition_weighted_exact(&g, &opts);
         prop_assert_eq!(&dij.assignment, &ds.assignment);
         prop_assert_eq!(&dij.assignment, &exact.assignment);
